@@ -70,12 +70,24 @@ ANALYTICAL_EVAL_COST_S = 5.0
 DEFAULT_CACHE_CAPACITY = 100_000
 
 
+_NO_HW = object()
+
+
 class PPAEngine(ABC):
     """Estimation service bound to a single workload.
 
     Subclasses must implement :meth:`evaluate_layer`; network-level
     aggregation, caching and clock charging are shared.
     """
+
+    #: ``(hw, hw_key(hw))`` of the last config keyed.  Hardware configs
+    #: are frozen dataclasses, and a search queries one ``hw`` thousands of
+    #: times in a row, so the key of the last one is reused by identity.
+    #: One tuple, swapped whole, so no thread reads a half-updated pair.
+    _hw_key_memo: Tuple = (_NO_HW, None)
+    #: ``(registry, {name: instrument})``: handles into ``self.metrics``,
+    #: rebuilt whenever ``metrics`` is reassigned (a shared registry).
+    _instrument_memo: Tuple = (None, None)
 
     def __init__(
         self,
@@ -137,6 +149,8 @@ class PPAEngine(ABC):
         """
         state = self.__dict__.copy()
         del state["_lock"]
+        state.pop("_hw_key_memo", None)
+        state.pop("_instrument_memo", None)
         state["_cache"] = OrderedDict()
         state["tracer"] = None
         state["sample_sink"] = None
@@ -161,7 +175,7 @@ class PPAEngine(ABC):
             return
         with self._lock:
             self.num_queries += count
-        self.metrics.counter("engine_queries_total").inc(count)
+        self._counter("engine_queries_total").inc(count)
 
     # -- subclass contract ----------------------------------------------------
     @abstractmethod
@@ -196,7 +210,31 @@ class PPAEngine(ABC):
 
     def hw_key(self, hw) -> Tuple:
         """Hashable identity of a hardware config (for the cache)."""
-        return tuple(sorted(vars(hw).items()))
+        memo = self._hw_key_memo
+        if memo[0] is hw:
+            return memo[1]
+        key = tuple(sorted(vars(hw).items()))
+        self._hw_key_memo = (hw, key)
+        return key
+
+    def _instrument(self, kind: str, name: str):
+        """Memoized ``self.metrics.<kind>(name)``, ``kind`` being
+        ``"counter"`` or ``"histogram"`` (a registry holds one kind per
+        name).  After the first lookup a query skips the registry lock;
+        instruments are still created on first use, so the registry shows
+        exactly the instruments it would without the memo.
+        """
+        registry = self.metrics
+        memo = self._instrument_memo
+        if memo[0] is not registry:
+            memo = self._instrument_memo = (registry, {})
+        handle = memo[1].get(name)
+        if handle is None:
+            handle = memo[1][name] = getattr(registry, kind)(name)
+        return handle
+
+    def _counter(self, name: str):
+        return self._instrument("counter", name)
 
     # -- cache / accounting helpers ---------------------------------------------
     def _charge_query(self, layer_name: str) -> GemmShape:
@@ -208,7 +246,7 @@ class PPAEngine(ABC):
         shape, _count = self.layer_shapes[layer_name]
         with self._lock:
             self.num_queries += 1
-        self.metrics.counter("engine_queries_total").inc()
+        self._counter("engine_queries_total").inc()
         if self.charge_clock:
             self.clock.advance(self.eval_cost_s, label="ppa-eval")
         return shape
@@ -227,7 +265,7 @@ class PPAEngine(ABC):
                     if result is not None
                     else "engine_cache_misses_total"
                 )
-                self.metrics.counter(name).inc()
+                self._counter(name).inc()
             return result
 
     def _cache_store(self, key: Tuple, result: LayerPPA) -> None:
@@ -239,7 +277,7 @@ class PPAEngine(ABC):
                 while len(self._cache) > self.cache_capacity:
                     self._cache.popitem(last=False)
                     self.num_cache_evictions += 1
-                    self.metrics.counter("engine_cache_evictions_total").inc()
+                    self._counter("engine_cache_evictions_total").inc()
 
     def _timed_compute(
         self, hw, mapping: "GemmMapping", layer_name: str, shape: GemmShape
@@ -247,7 +285,7 @@ class PPAEngine(ABC):
         """Run the uncached computation, recording real latency."""
         start = time.perf_counter()
         result = self._compute_layer_by_name(hw, mapping, layer_name, shape)
-        self.metrics.histogram("engine_compute_seconds").observe(
+        self._instrument("histogram", "engine_compute_seconds").observe(
             time.perf_counter() - start
         )
         return result
@@ -338,8 +376,8 @@ class PPAEngine(ABC):
             self.num_queries += batch
             self.num_batch_queries += 1
             self.num_batch_items += batch
-        self.metrics.counter("engine_queries_total").inc(batch)
-        self.metrics.counter("engine_batch_queries_total").inc()
+        self._counter("engine_queries_total").inc(batch)
+        self._counter("engine_batch_queries_total").inc()
         self.metrics.histogram(
             "engine_batch_size", DEFAULT_BATCH_SIZE_BOUNDS
         ).observe(batch)
@@ -356,7 +394,7 @@ class PPAEngine(ABC):
                 miss_positions[key].append(index)
                 with self._lock:
                     self.num_cache_hits += 1
-                self.metrics.counter("engine_cache_hits_total").inc()
+                self._counter("engine_cache_hits_total").inc()
                 continue
             cached = self._cache_lookup(key)
             if cached is not None:

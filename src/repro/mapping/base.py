@@ -24,6 +24,7 @@ One budget unit = one candidate-mapping evaluation on the PPA engine.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -86,6 +87,13 @@ class AnytimeMappingSearch(ABC):
     #: or advance cursors (CoSA, the fusion search) must leave this False;
     #: they silently fall back to scalar stepping under ``batch_size > 1``.
     supports_speculation = False
+
+    #: memoized ``_network_totals()`` / ``_latency_shares()``; None = stale
+    #: (only :meth:`_set_incumbent` makes them so)
+    _totals_memo: Optional[Tuple[float, float]] = None
+    _shares_memo: Optional[np.ndarray] = None
+    #: leakage power of ``hw`` (fixed for the whole search); None = not yet read
+    _leakage_w: Optional[float] = None
 
     def __init__(
         self,
@@ -196,8 +204,7 @@ class AnytimeMappingSearch(ABC):
             results = evaluate(self.hw, list(zip(seeds, self.layer_names)))
         for layer_name, seed, result in zip(self.layer_names, seeds, results):
             mapping, result = self._shrink_to_feasible(layer_name, seed, result)
-            self.best_layer_mapping[layer_name] = mapping
-            self.best_layer_result[layer_name] = result
+            self._set_incumbent(layer_name, mapping, result)
 
     # --------------------------------------------------------------- strategy
     @abstractmethod
@@ -221,9 +228,82 @@ class AnytimeMappingSearch(ABC):
     ) -> None:
         """Hook for strategy state updates (acceptance, populations, ...)."""
 
+    def _pick_weighted_layer(
+        self, credit: Optional[Dict[str, float]] = None
+    ) -> Optional[str]:
+        """Draw a layer with probability ~ its share of incumbent latency.
+
+        ``credit`` optionally scales each layer's weight.  Returns ``None``
+        without consuming RNG when the weights are not finite and positive;
+        each tool applies its own fallback then.
+        """
+        weights = self._latency_shares()
+        if credit is not None:
+            weights = weights * np.array([credit[name] for name in self.layer_names])
+        index = self._weighted_draw(self.rng, weights)
+        return None if index is None else self.layer_names[index]
+
+    @staticmethod
+    def _weighted_draw(rng: np.random.Generator, weights: np.ndarray) -> Optional[int]:
+        """``rng.choice(len(weights), p=weights / weights.sum())``, inlined.
+
+        Same index and same RNG consumption (one ``rng.random()``) as
+        ``choice``, which runs exactly these steps after validating ``p``
+        on every call.  ``None``, drawing nothing, when the weights are not
+        finite with a positive sum.
+        """
+        total = weights.sum()
+        if not np.isfinite(weights).all() or total <= 0:
+            return None
+        cdf = (weights / total).cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(rng.random(), side="right"))
+
     # -------------------------------------------------------------- accounting
+    def _set_incumbent(
+        self, layer_name: str, mapping: GemmMapping, result: LayerPPA
+    ) -> None:
+        """Adopt ``mapping``/``result`` as ``layer_name``'s incumbent.
+
+        The only writer of ``best_layer_mapping``/``best_layer_result``,
+        hence the only place the incumbent memos (network totals, latency
+        shares) go stale.
+        """
+        self.best_layer_mapping[layer_name] = mapping
+        self.best_layer_result[layer_name] = result
+        self._totals_memo = None
+        self._shares_memo = None
+
+    def _latency_shares(self) -> np.ndarray:
+        """Per-layer ``count * latency`` of the incumbents (floored at
+        1e-12 s), in ``layer_names`` order; memoized like the totals."""
+        shares = self._shares_memo
+        if shares is None:
+            shares = self._shares_memo = self._recompute_latency_shares()
+        return shares
+
+    def _recompute_latency_shares(self) -> np.ndarray:
+        results = self.best_layer_result
+        return np.array(
+            [
+                self.layer_counts[name] * max(results[name].latency_s, 1e-12)
+                for name in self.layer_names
+            ]
+        )
+
     def _network_totals(self) -> Tuple[float, float]:
-        """(total latency s, total energy J) of the incumbent mapping."""
+        """(total latency s, total energy J) of the incumbent mapping.
+
+        Memoized between incumbent writes: the per-candidate fold reads it
+        twice, and it only changes when :meth:`_set_incumbent` runs.
+        """
+        totals = self._totals_memo
+        if totals is None:
+            totals = self._totals_memo = self._recompute_network_totals()
+        return totals
+
+    def _recompute_network_totals(self) -> Tuple[float, float]:
+        """Uncached :meth:`_network_totals`: one pass over the layers."""
         latency = 0.0
         energy = 0.0
         for layer_name in self.layer_names:
@@ -236,16 +316,21 @@ class AnytimeMappingSearch(ABC):
         return latency, energy
 
     def _network_objective(self, latency: float, energy: float) -> float:
-        if not np.isfinite(latency):
+        if not math.isfinite(latency):
             return _INFEASIBLE_OBJECTIVE
         if self.objective == "latency":
             return latency
         return latency * energy  # EDP
 
     def _network_power(self, latency: float, energy: float) -> float:
-        if not np.isfinite(latency) or latency <= 0:
+        if not math.isfinite(latency) or latency <= 0:
             return _INFEASIBLE_OBJECTIVE
-        leakage = self.engine.tech.leakage_w_per_mm2 * self.engine.area_mm2(self.hw)
+        leakage = self._leakage_w
+        if leakage is None:
+            # ``hw`` is fixed for the whole search: read its area once
+            leakage = self._leakage_w = (
+                self.engine.tech.leakage_w_per_mm2 * self.engine.area_mm2(self.hw)
+            )
         return energy / latency + leakage
 
     def _trial_totals(
@@ -253,11 +338,7 @@ class AnytimeMappingSearch(ABC):
     ) -> Tuple[float, float]:
         """Network totals if ``layer_name`` adopted ``result``."""
         base_latency, base_energy = self._network_totals()
-        if not np.isfinite(base_latency):
-            if not result.feasible:
-                return (_INFEASIBLE_OBJECTIVE, _INFEASIBLE_OBJECTIVE)
-            return (_INFEASIBLE_OBJECTIVE, _INFEASIBLE_OBJECTIVE)
-        if not result.feasible:
+        if not math.isfinite(base_latency) or not result.feasible:
             return (_INFEASIBLE_OBJECTIVE, _INFEASIBLE_OBJECTIVE)
         count = self.layer_counts[layer_name]
         incumbent = self.best_layer_result[layer_name]
@@ -366,8 +447,7 @@ class AnytimeMappingSearch(ABC):
                 or self._layer_score(result) < self._layer_score(incumbent)
             )
             if better_layer:
-                self.best_layer_mapping[layer_name] = candidate
-                self.best_layer_result[layer_name] = result
+                self._set_incumbent(layer_name, candidate, result)
                 improved = True
         self._on_result(layer_name, candidate, result, improved)
 

@@ -11,6 +11,7 @@ that recently yielded improvements are revisited more often).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 import numpy as np
@@ -56,19 +57,10 @@ class FlexTensorSearch(AnytimeMappingSearch):
             return self.layer_names[int(self.rng.integers(0, len(self.layer_names)))]
         # weight by latency share x credit: optimize where time is spent and
         # where moves have recently paid off
-        weights = np.array(
-            [
-                self.layer_counts[name]
-                * max(self.best_layer_result[name].latency_s, 1e-12)
-                * self._credit[name]
-                for name in self.layer_names
-            ]
-        )
-        if not np.all(np.isfinite(weights)) or weights.sum() <= 0:
+        layer_name = self._pick_weighted_layer(self._credit)
+        if layer_name is None:
             return self.layer_names[int(self.rng.integers(0, len(self.layer_names)))]
-        probabilities = weights / weights.sum()
-        index = int(self.rng.choice(len(self.layer_names), p=probabilities))
-        return self.layer_names[index]
+        return layer_name
 
     def _propose(self) -> Tuple[str, GemmMapping]:
         layer_name = self._pick_layer()
@@ -83,8 +75,8 @@ class FlexTensorSearch(AnytimeMappingSearch):
         candidate_score = self._layer_score(result) if result.feasible else float("inf")
 
         accept = False
-        if np.isfinite(candidate_score):
-            if candidate_score <= current_score or not np.isfinite(current_score):
+        if math.isfinite(candidate_score):
+            if candidate_score <= current_score or not math.isfinite(current_score):
                 accept = True
             else:
                 # Metropolis rule on relative regression.

@@ -27,12 +27,28 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import linalg as scipy_linalg
 from scipy import optimize
+from scipy.linalg.lapack import dpotrs
 
 from repro.errors import SurrogateError
 
 _JITTER = 1e-8
+
+
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve((chol, True), b)`` for float64 operands.
+
+    Calls LAPACK ``dpotrs`` — the routine ``cho_solve`` dispatches to —
+    directly, skipping the batching wrapper and the finiteness scan of
+    ``b`` (callers pass finite ``b``).  A non-finite factor still raises
+    the ``ValueError`` ``cho_solve`` raises.
+    """
+    if not np.isfinite(chol).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpotrs(chol, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 def rbf_kernel(
@@ -199,7 +215,7 @@ class GaussianProcess:
             chol = np.linalg.cholesky(k)
         except np.linalg.LinAlgError:
             return 1e12, zeros
-        alpha = scipy_linalg.cho_solve((chol, True), y)
+        alpha = _cho_solve(chol, y)
         nll = (
             0.5 * float(y @ alpha)
             + float(np.sum(np.log(np.diag(chol))))
@@ -207,7 +223,7 @@ class GaussianProcess:
         )
         if not np.isfinite(nll):
             return 1e12, zeros
-        k_inv = scipy_linalg.cho_solve((chol, True), np.eye(len(y)))
+        k_inv = _cho_solve(chol, np.eye(len(y)))
         w = np.outer(alpha, alpha) - k_inv
         grad = np.empty_like(log_params)
         # s_i = ((x_i - x_i')/l_i)^2; dK/d log l_i = ls_coef * s_i

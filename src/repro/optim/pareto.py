@@ -20,7 +20,7 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     """True iff ``a`` Pareto-dominates ``b`` (<= everywhere, < somewhere)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return bool(np.all(a <= b) and np.any(a < b))
+    return bool((a <= b).all() and (a < b).any())
 
 
 def non_dominated_mask(points: np.ndarray) -> np.ndarray:

@@ -37,12 +37,15 @@ def divisors(n: int) -> Tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
+@lru_cache(maxsize=16384)
 def nearest_divisor(n: int, target: int) -> int:
     """Return the divisor of ``n`` closest to ``target`` (ties go low).
 
     Mapping mutations propose approximate tile sizes; snapping to the nearest
     divisor keeps tilings perfect (no remainder handling in the cost model's
-    steady-state loop counts, matching MAESTRO-style analysis).
+    steady-state loop counts, matching MAESTRO-style analysis).  Memoized:
+    trial seeding and tile shrinking repeat the same few (n, target) pairs
+    tens of thousands of times per search.
     """
     candidates = divisors(n)
     best = candidates[0]
