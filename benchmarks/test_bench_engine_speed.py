@@ -138,8 +138,9 @@ def test_speed_camodel(benchmark):
     shape = GemmShape(m=64, n=4096, k=128)
     result = benchmark(simulate_layer, hw, mapping, shape)
     assert result.feasible
-    # cycle-level simulation is orders of magnitude slower than analytical,
-    # but must stay usable (< 100 ms per layer query)
+    # cycle-level simulation costs several analytical-model calls (~160 us
+    # vs ~19.5 us per call in a traced co-search) and must stay usable
+    # (< 100 ms per layer query)
     assert benchmark.stats["mean"] < 0.1
 
 

@@ -18,7 +18,6 @@ generic anytime-search machinery applies unchanged.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, replace
 from typing import Tuple
 
@@ -52,7 +51,14 @@ class AscendMapping:
         return replace(self, tile_m=tile_m, tile_n=tile_n, tile_k=tile_k)
 
     def key(self) -> Tuple:
-        return dataclasses.astuple(self)
+        """Hashable identity: the field values in declaration order."""
+        return (
+            self.tile_m,
+            self.tile_n,
+            self.tile_k,
+            self.fuse_input,
+            self.fuse_output,
+        )
 
 
 class AscendMappingSpace:

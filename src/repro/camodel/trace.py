@@ -24,13 +24,14 @@ from repro.camodel.ascend_sim import (
     MAX_SIMULATED_TILES,
     _STAGE_NAMES,
     _capacity_check,
+    _pipeline_geometry,
     _tile_costs,
+    _TileCosts,
 )
 from repro.camodel.mapping import AscendMapping
 from repro.costmodel.technology import DEFAULT_TECHNOLOGY, Technology
 from repro.errors import EvaluationError
 from repro.hw.ascend import AscendHWConfig
-from repro.utils.intmath import round_up_div
 from repro.workloads.layers import GemmShape
 
 
@@ -74,20 +75,24 @@ def trace_layer(
     ok, reason = _capacity_check(hw, mapping, tech)
     if not ok:
         raise EvaluationError(f"infeasible mapping: {reason}")
-    tm, tn, tk = mapping.tiles()
-    trips_m = round_up_div(shape.m, tm)
-    trips_n = round_up_div(shape.n, tn)
-    trips_k = round_up_div(shape.k, tk)
-    n_tiles = trips_m * trips_n * trips_k
+    trips_m, trips_n, trips_k, banks = _pipeline_geometry(hw, mapping, shape)
     costs = _tile_costs(hw, mapping, shape, tech)
+    return trace_pipeline(costs, trips_m * trips_n * trips_k, trips_k, banks)
+
+
+def trace_pipeline(
+    costs: _TileCosts,
+    n_tiles: int,
+    trips_k: int,
+    banks: Tuple[int, int, int, int, int],
+) -> PipelineTrace:
+    """The plain tile-by-tile recurrence, with stall and busy accounting.
+
+    Same inputs and window as :func:`repro.camodel.ascend_sim._pipeline_cycles`,
+    whose reference oracle it is: the tests require the two to agree bit
+    for bit.  It does not extrapolate past ``MAX_SIMULATED_TILES``.
+    """
     durations = costs.as_list()
-    banks = (
-        1,
-        2,
-        min(hw.l0a_banks, hw.l0b_banks),
-        hw.l0c_banks,
-        2,
-    )
     num_stages = len(durations)
     simulate = min(n_tiles, MAX_SIMULATED_TILES)
     finish = [[0.0] * simulate for _ in range(num_stages)]

@@ -1,11 +1,16 @@
 """Tests for the Ascend mapping representation itself."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.camodel.mapping import AscendMapping, AscendMappingSpace
 from repro.errors import MappingError
+from repro.fleet.hashing import candidate_key
+from repro.hw import default_ascend_config
 from repro.workloads.layers import GemmShape
 
 
@@ -28,6 +33,22 @@ class TestAscendMapping:
         a = AscendMapping(2, 4, 8)
         b = AscendMapping(2, 4, 8, fuse_output=True)
         assert a.key() != b.key()
+
+    def test_key_is_astuple_over_random_mappings(self):
+        """The plain field tuple keeps cache keys, routes and noise digests."""
+        space = AscendMappingSpace(GemmShape(m=56, n=4800, k=108))
+        rng = np.random.default_rng(0)
+        hw_id = dataclasses.astuple(default_ascend_config())
+        mappings = [space.sample(rng) for _ in range(200)]
+        for mapping in mappings:
+            key = mapping.key()
+            reference = dataclasses.astuple(mapping)
+            assert key == reference
+            assert [type(v) for v in key] == [type(v) for v in reference]
+            assert repr(key) == repr(reference)
+            assert candidate_key(hw_id, "conv1", key) == candidate_key(
+                hw_id, "conv1", reference
+            )
 
 
 class TestAscendMappingSpace:
